@@ -21,10 +21,10 @@
 //! `n/a` and the comparison is skipped.
 
 use mmjoin_bench::harness::{self, HarnessOpts, Table};
-use mmjoin_bench::jsonv::{self, Value};
 use mmjoin_bench::ledger;
 use mmjoin_core::instrumented::{instrument, PageConfig};
 use mmjoin_core::{observe, Algorithm, Join, JoinResult, ProfileConfig};
+use mmjoin_util::jsonv::{self, Value};
 use mmjoin_util::perf;
 
 fn usage() -> ! {

@@ -14,7 +14,7 @@ use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::harness::{self, json_escape};
-use crate::jsonv::{self, Value};
+use mmjoin_util::jsonv::{self, Value};
 
 /// Bumped when an incompatible field change lands; readers refuse newer
 /// schemas instead of guessing.

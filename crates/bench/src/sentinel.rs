@@ -17,8 +17,8 @@ use mmjoin_core::{Algorithm, Join, JoinResult};
 use mmjoin_util::stats;
 
 use crate::harness::{json_escape, HarnessOpts, Table};
-use crate::jsonv::Value;
 use crate::ledger::{json_num, Entry, SampleSet};
+use mmjoin_util::jsonv::Value;
 
 /// Knobs of one comparison.
 #[derive(Clone, Debug)]

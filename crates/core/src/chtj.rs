@@ -23,9 +23,7 @@ use crate::Algorithm;
 pub fn join_chtj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
     let ctx = FaultCtx::begin(Algorithm::Chtj, cfg);
     let mut result = JoinResult::new(Algorithm::Chtj);
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     // Build (region-parallel bulkload inside).
     ctx.enter_phase("build");
@@ -33,8 +31,7 @@ pub fn join_chtj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     // tuple.
     let _table_charge = ctx.charge(r.len() * 16)?;
     let start = Instant::now();
-    let cht =
-        ConciseHashTable::<mmjoin_hashtable::MultiplicativeHash>::build_on(r.tuples(), &cpool);
+    let cht = ConciseHashTable::<mmjoin_hashtable::MultiplicativeHash>::build_on(r.tuples(), &pool);
     let build_wall = start.elapsed();
     let table_bytes = cht.memory_bytes() as f64;
     // Build = scan + radix scatter by hash prefix + bulkload writes.
@@ -42,7 +39,7 @@ pub fn join_chtj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
         spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::BUILD + 2.0);
     let order: Vec<usize> = (0..build_specs.len()).collect();
     let (build_sim, _) = spec::run_phase(cfg, &build_specs, &order);
-    result.push_phase_pool("build", build_wall, build_sim, &pool);
+    result.push_phase("build", build_wall, build_sim, &pool);
     ctx.checkpoint(&result)?;
 
     // Probe: every lookup touches the bitmap word *and* the dense array —
@@ -51,7 +48,7 @@ pub fn join_chtj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     // Table 4).
     ctx.enter_phase("probe");
     let start = Instant::now();
-    let checksums = parallel_chunks(&cpool, s.tuples(), |_, chunk| {
+    let checksums = parallel_chunks(&pool, s.tuples(), |_, chunk| {
         let mut c = JoinChecksum::new();
         for block in chunk.chunks(MORSEL) {
             if ctx.should_stop() {
@@ -73,7 +70,7 @@ pub fn join_chtj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     );
     let order: Vec<usize> = (0..probe_specs.len()).collect();
     let (probe_sim, _) = spec::run_phase(cfg, &probe_specs, &order);
-    result.push_phase_pool("probe", probe_wall, probe_sim, &pool);
+    result.push_phase("probe", probe_wall, probe_sim, &pool);
     ctx.checkpoint(&result)?;
     Ok(result)
 }

@@ -1,10 +1,11 @@
 //! Thread-parallel execution helpers shared by all joins.
 //!
-//! Every helper here runs on a [`WorkerPool`] — in practice the
-//! persistent [`Executor`](crate::executor::Executor) obtained from
+//! Every helper here runs on a [`WorkerPool`] — in practice the join's
+//! [`CtxPool`] over the persistent
+//! [`Executor`](crate::executor::Executor) obtained from
 //! [`JoinConfig::executor`](crate::config::JoinConfig::executor) — so a
 //! join's phases share one set of worker threads instead of spawning
-//! their own.
+//! their own, and each phase's work is accounted to the join.
 //!
 //! The pool's `broadcast` return is the **phase barrier**: it carries
 //! release/acquire semantics, so all writes performed inside a phase
@@ -20,7 +21,8 @@ use mmjoin_util::chunk_range;
 use mmjoin_util::pool::{broadcast_map, into_inner_recover, lock_recover, WorkerPool};
 use mmjoin_util::tuple::Tuple;
 
-use crate::executor::{build_queues, Executor, QueuePolicy};
+use crate::executor::{build_queues, QueuePolicy};
+use crate::fault::CtxPool;
 
 /// Tuples processed between cancellation/deadline checks inside a
 /// worker's chunk — shared by every chunk-parallel driver phase and the
@@ -66,7 +68,7 @@ where
 /// sequential scheduling, [`QueuePolicy::NumaLocal`] the *iS variants'
 /// NUMA-aware scheduling with work stealing.
 pub fn join_morsels<F>(
-    pool: &Executor,
+    pool: &CtxPool,
     order: &[usize],
     parts: usize,
     policy: QueuePolicy,
@@ -90,7 +92,7 @@ where
 /// phases that materialize per-partition data, e.g. MWAY's sort phase).
 /// Result order is unspecified — callers sort by partition id.
 pub fn morsel_map<R, F>(
-    pool: &Executor,
+    pool: &CtxPool,
     order: &[usize],
     parts: usize,
     policy: QueuePolicy,
@@ -114,7 +116,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::JoinConfig;
     use crate::executor::Executor;
+    use crate::fault::FaultCtx;
+    use crate::Algorithm;
     use mmjoin_util::pool::ScopedPool;
 
     #[test]
@@ -154,24 +159,29 @@ mod tests {
 
     #[test]
     fn morsels_join_every_partition_once() {
-        let exec = Executor::new(4);
+        let cfg = JoinConfig::new(4);
+        let ctx = FaultCtx::begin(Algorithm::Pro, &cfg);
+        let pool = CtxPool::new(&cfg, &ctx);
         let order: Vec<usize> = (0..37).collect();
         for policy in [QueuePolicy::Shared, QueuePolicy::NumaLocal { nodes: 4 }] {
-            let total = join_morsels(&exec, &order, 37, policy, |p| {
+            let total = join_morsels(&pool, &order, 37, policy, |p| {
                 let mut c = JoinChecksum::new();
                 c.add(p as u32 + 1, 0, 0);
                 c
             });
             assert_eq!(total.count, 37, "{policy:?}");
+            assert_eq!(pool.take_work().exec.tasks, 37, "{policy:?}");
         }
     }
 
     #[test]
     fn morsel_map_collects_all() {
-        let exec = Executor::new(3);
+        let cfg = JoinConfig::new(3);
+        let ctx = FaultCtx::begin(Algorithm::Mway, &cfg);
+        let pool = CtxPool::new(&cfg, &ctx);
         let order: Vec<usize> = (0..20).collect();
         let mut got = morsel_map(
-            &exec,
+            &pool,
             &order,
             20,
             QueuePolicy::NumaLocal { nodes: 2 },

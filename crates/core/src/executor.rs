@@ -15,9 +15,14 @@
 //!   from remote nodes only when it runs dry. The NUMA-round-robin
 //!   scheduling of the *iS join variants is thereby a queue-assignment
 //!   policy of the executor, not a property of task insertion order.
-//! * **Per-phase counters** ([`ExecCounters`]): tasks executed, steals,
-//!   and per-worker idle time at the phase barrier, drained by the join
-//!   drivers into each [`crate::stats::PhaseStat`].
+//! * **Per-phase accounting** ([`PhaseWork`]): tasks executed, steals,
+//!   per-worker idle time at the phase barrier and, when the submitter
+//!   asks for them, per-worker spans. Every phase *returns* its
+//!   accounting to the thread that submitted it — the pool keeps no
+//!   counters of its own — so concurrent joins on one shared pool never
+//!   see each other's work. The join drivers collect it per join in
+//!   [`crate::fault::CtxPool`] and record it in each
+//!   [`crate::stats::PhaseStat`].
 //! * **Panic containment**: the pool is a process-lifetime resource
 //!   shared by every join, so a panicking morsel task must not take it
 //!   down. Every phase closure runs under `catch_unwind`; a panic is
@@ -47,7 +52,7 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -115,10 +120,32 @@ thread_local! {
         const { std::cell::OnceCell::new() };
 }
 
+/// A phase closure: runs worker `w`'s share of the phase and reports
+/// the morsels it executed and how many of those it stole.
+type PhaseFn<'a> = dyn Fn(usize) -> (u64, u64) + Sync + 'a;
+
+/// What one or more phases did, returned to the submitting thread:
+/// the aggregate scheduling counters and, for a profiled phase, one
+/// span per worker per broadcast. The spans' `tasks`/`steals` sum to
+/// `exec`'s.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct PhaseWork {
+    pub exec: ExecCounters,
+    pub spans: Vec<WorkerPhaseStat>,
+}
+
+impl PhaseWork {
+    /// Accumulate another phase's work into this one.
+    pub(crate) fn merge(&mut self, other: PhaseWork) {
+        self.exec.merge(other.exec);
+        self.spans.extend(other.spans);
+    }
+}
+
 /// Lifetime-erased pointer to the phase closure. Safe because
 /// `broadcast` does not return until every worker has finished with it
 /// and the control slot is cleared.
-struct Job(*const (dyn Fn(usize) + Sync + 'static));
+struct Job(*const PhaseFn<'static>);
 // SAFETY: the pointee is Sync, and the pointer only crosses threads
 // while `broadcast` keeps the original reference alive.
 unsafe impl Send for Job {}
@@ -154,21 +181,13 @@ struct Shared {
     /// epoch was either accounted by a previous poll or finished the
     /// phase before dying.
     done_epoch: Vec<AtomicU64>,
-    /// Morsels each worker ran in the current `run_morsels` phase
-    /// (stored once per worker at the end of its drain loop; reset by
-    /// `broadcast_inner` when profiling).
+    /// Morsels each worker ran in the current phase, as its closure
+    /// reported them (reset at every phase start).
     worker_tasks: Vec<AtomicU64>,
-    /// Morsels each worker stole in the current `run_morsels` phase.
+    /// Morsels each worker stole in the current phase.
     worker_steals: Vec<AtomicU64>,
     /// Per-worker PMU deltas for the current profiled phase.
     deltas: Vec<Mutex<CounterDelta>>,
-}
-
-/// Span-recording state for one profiling window (normally one join):
-/// the common time base and the spans accumulated since the last drain.
-struct Recording {
-    start: Instant,
-    spans: Vec<WorkerPhaseStat>,
 }
 
 /// A persistent pool of `workers` threads executing one phase at a time.
@@ -179,15 +198,9 @@ struct Recording {
 pub struct Executor {
     shared: Arc<Shared>,
     workers: usize,
-    /// Serializes phases from different submitting threads.
+    /// Serializes phases from different submitting threads; a phase's
+    /// accounting is read back under it.
     submit: Mutex<()>,
-    /// Accumulated counters since the last [`Executor::drain_counters`].
-    counters: Mutex<ExecCounters>,
-    /// Whether phases record per-worker spans + PMU deltas. One atomic
-    /// load per phase when off — the zero-cost disabled path.
-    profile: AtomicBool,
-    /// Spans accumulated since [`Executor::start_recording`].
-    recording: Mutex<Recording>,
     handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -229,12 +242,6 @@ impl Executor {
             shared,
             workers,
             submit: Mutex::new(()),
-            counters: Mutex::new(ExecCounters::new()),
-            profile: AtomicBool::new(false),
-            recording: Mutex::new(Recording {
-                start: Instant::now(),
-                spans: Vec::new(),
-            }),
             handles: Mutex::new(handles),
         }
     }
@@ -263,43 +270,6 @@ impl Executor {
         TOTAL_SPAWNED.load(Ordering::Relaxed)
     }
 
-    /// Take the counters accumulated since the last drain (phase
-    /// boundaries in the join drivers).
-    pub fn drain_counters(&self) -> ExecCounters {
-        std::mem::take(&mut *lock_recover(&self.counters))
-    }
-
-    /// Start a fresh recording window (a join): clear any stale counters
-    /// and spans and, when `profile` is set, record a [`WorkerPhaseStat`]
-    /// span per worker per phase — timestamps relative to this call, plus
-    /// native PMU deltas where the host exposes counters.
-    ///
-    /// The window belongs to the pool, not to a join: two joins profiled
-    /// concurrently on the *same* pool interleave their spans, the same
-    /// (documented) sharing the aggregate counters already have. When
-    /// `profile` is false this leaves the pool on its zero-cost path —
-    /// phases pay one relaxed atomic load.
-    pub fn start_recording(&self, profile: bool) {
-        self.profile.store(profile, Ordering::Relaxed);
-        {
-            let mut rec = lock_recover(&self.recording);
-            rec.start = Instant::now();
-            rec.spans.clear();
-        }
-        self.drain_counters();
-    }
-
-    /// Take the spans recorded since the last drain (phase boundaries in
-    /// the join drivers). Empty when profiling is off.
-    pub fn drain_spans(&self) -> Vec<WorkerPhaseStat> {
-        std::mem::take(&mut lock_recover(&self.recording).spans)
-    }
-
-    /// Whether span recording is currently on.
-    pub fn profiling(&self) -> bool {
-        self.profile.load(Ordering::Relaxed)
-    }
-
     /// Respawn any worker thread that has died. Task panics are caught
     /// in [`worker_loop`] and never kill a worker, so this is a backstop
     /// for threads lost to causes the pool cannot intercept; it is
@@ -323,8 +293,13 @@ impl Executor {
     /// a single queue means shared scheduling), invoking `f(worker,
     /// task)` for every task exactly once. Worker `w`'s home node is
     /// `w * nodes / workers`; it pops home tasks first and steals from
-    /// the other nodes in ring order once home is dry. Task and steal
-    /// counts flow into the drained counters.
+    /// the other nodes in ring order once home is dry.
+    ///
+    /// Returns the phase's task and steal counts, its barrier idle time
+    /// and — when `profile` carries the span time base (the join start)
+    /// — one span per worker with native PMU deltas where the host
+    /// exposes counters. With `profile` `None` no span is recorded and
+    /// workers never touch the perf module.
     ///
     /// # Panics
     ///
@@ -332,17 +307,20 @@ impl Executor {
     /// surviving workers and the collected messages are re-raised here
     /// as a [`WorkerPanic`] (converted to `JoinError::WorkerPanicked` at
     /// the dispatch boundary).
-    pub fn run_morsels(&self, queues: &[Vec<usize>], f: &(dyn Fn(usize, usize) + Sync)) {
+    pub fn run_morsels(
+        &self,
+        queues: &[Vec<usize>],
+        f: &(dyn Fn(usize, usize) + Sync),
+        profile: Option<Instant>,
+    ) -> PhaseWork {
         let nodes = queues.len().max(1);
         let workers = self.workers;
         let cursors: Vec<AtomicUsize> = (0..nodes).map(|_| AtomicUsize::new(0)).collect();
-        let tasks = AtomicU64::new(0);
-        let steals = AtomicU64::new(0);
-        let outcome = self.broadcast_inner(
+        self.broadcast_inner(
             &|w| {
                 let home = (w * nodes / workers).min(nodes - 1);
-                let mut my_tasks = 0u64;
-                let mut my_steals = 0u64;
+                let mut tasks = 0u64;
+                let mut steals = 0u64;
                 for i in 0..nodes {
                     let node = (home + i) % nodes;
                     let queue = match queues.get(node) {
@@ -354,86 +332,79 @@ impl Executor {
                         match queue.get(idx) {
                             Some(&task) => {
                                 f(w, task);
-                                my_tasks += 1;
+                                tasks += 1;
                                 if node != home {
-                                    my_steals += 1;
+                                    steals += 1;
                                 }
                             }
                             None => break,
                         }
                     }
                 }
-                tasks.fetch_add(my_tasks, Ordering::Relaxed);
-                steals.fetch_add(my_steals, Ordering::Relaxed);
-                // Per-worker totals for span recording (one store per
-                // worker per phase; read only when profiling).
-                self.shared.worker_tasks[w].store(my_tasks, Ordering::Relaxed);
-                self.shared.worker_steals[w].store(my_steals, Ordering::Relaxed);
+                (tasks, steals)
             },
-            false,
-        );
-        {
-            let mut c = lock_recover(&self.counters);
-            c.tasks += tasks.load(Ordering::Relaxed);
-            c.steals += steals.load(Ordering::Relaxed);
-        }
-        if let Err(panics) = outcome {
-            self.heal();
-            std::panic::panic_any(WorkerPanic(panics));
-        }
+            profile,
+        )
     }
 
-    /// Run one phase; `Err` carries the panic messages of every worker
-    /// task that panicked (the phase barrier completed regardless).
-    fn broadcast_inner(
+    /// [`WorkerPool::broadcast`] returning the phase's accounting (one
+    /// task per worker; see [`Executor::run_morsels`] for `profile`).
+    pub(crate) fn broadcast_counted(
         &self,
         f: &(dyn Fn(usize) + Sync),
-        count_tasks: bool,
-    ) -> Result<(), Vec<String>> {
+        profile: Option<Instant>,
+    ) -> PhaseWork {
+        self.broadcast_inner(
+            &|w| {
+                f(w);
+                (1, 0)
+            },
+            profile,
+        )
+    }
+
+    /// Run one phase and return its accounting, read back under the
+    /// submit lock so no other submitter's phase can touch it. A task
+    /// panic heals the pool and is re-raised as a [`WorkerPanic`] once
+    /// the barrier has completed.
+    fn broadcast_inner(&self, f: &PhaseFn<'_>, profile: Option<Instant>) -> PhaseWork {
         // A broadcast from inside a worker thread (nested phase) cannot
         // wait on the pool it is part of; run the phase inline. Semantics
         // are preserved (every index invoked once, writes visible to the
         // continuation), only parallelism is lost. An inline panic
         // unwinds into the enclosing worker task's own catch_unwind.
-        // When profiling, an inline nested phase emits no spans of its
-        // own — its time and counters fold into the enclosing worker's
-        // span (its tasks still reach the aggregate counters).
+        // An inline phase records no spans of its own — its time folds
+        // into the enclosing worker's span — but its tasks still count.
         if IN_WORKER.with(|c| c.get()) {
+            let mut exec = ExecCounters::new();
             for w in 0..self.workers {
-                f(w);
+                let (tasks, steals) = f(w);
+                exec.tasks += tasks;
+                exec.steals += steals;
             }
-            if count_tasks {
-                lock_recover(&self.counters).tasks += self.workers as u64;
-            }
-            return Ok(());
+            return PhaseWork {
+                exec,
+                spans: Vec::new(),
+            };
         }
 
-        let _phase = lock_recover(&self.submit);
-        let profile = self.profile.load(Ordering::Relaxed);
-        for slot in &self.shared.finish_ns {
-            slot.store(0, Ordering::Relaxed);
-        }
-        if profile {
-            for w in 0..self.workers {
-                self.shared.worker_tasks[w].store(0, Ordering::Relaxed);
-                self.shared.worker_steals[w].store(0, Ordering::Relaxed);
-                *lock_recover(&self.shared.deltas[w]) = CounterDelta::none();
-            }
+        let submit = lock_recover(&self.submit);
+        for w in 0..self.workers {
+            self.shared.finish_ns[w].store(0, Ordering::Relaxed);
+            self.shared.worker_tasks[w].store(0, Ordering::Relaxed);
+            self.shared.worker_steals[w].store(0, Ordering::Relaxed);
         }
         // SAFETY: only the lifetime is erased; the job slot is cleared
         // below before `f` can go out of scope.
-        let erased: *const (dyn Fn(usize) + Sync + 'static) = unsafe {
-            std::mem::transmute::<*const (dyn Fn(usize) + Sync), _>(
-                f as *const (dyn Fn(usize) + Sync),
-            )
-        };
+        let erased: *const PhaseFn<'static> =
+            unsafe { std::mem::transmute::<*const PhaseFn<'_>, _>(f as *const PhaseFn<'_>) };
         let (epoch, phase_start) = {
             let mut ctl = lock_recover(&self.shared.ctl);
             ctl.job = Some(Job(erased));
             ctl.epoch += 1;
             ctl.remaining = self.workers;
             ctl.start = Instant::now();
-            ctl.profile = profile;
+            ctl.profile = profile.is_some();
             ctl.panics.clear();
             self.shared.work_cv.notify_all();
             (ctl.epoch, ctl.start)
@@ -483,6 +454,11 @@ impl Executor {
             ctl.job = None;
             std::mem::take(&mut ctl.panics)
         };
+        if !panics.is_empty() {
+            drop(submit);
+            self.heal();
+            std::panic::panic_any(WorkerPanic(panics));
+        }
         let finishes: Vec<u64> = self
             .shared
             .finish_ns
@@ -490,48 +466,27 @@ impl Executor {
             .map(|a| a.load(Ordering::Relaxed))
             .collect();
         let slowest = finishes.iter().copied().max().unwrap_or(0);
-        let idle: u64 = finishes.iter().map(|&t| slowest - t).sum();
-        let mut c = lock_recover(&self.counters);
-        c.idle_ns += idle;
-        if count_tasks {
-            c.tasks += self.workers as u64;
-        }
-        drop(c);
-        if profile {
-            // One span per worker per broadcast. For a plain broadcast
-            // each worker ran exactly one task; for a morsel phase the
-            // per-worker totals were stored by the drain loop — either
-            // way the spans of a phase sum to its ExecCounters.
-            let mut rec = lock_recover(&self.recording);
-            let start_ns = phase_start
-                .checked_duration_since(rec.start)
-                .map(|d| d.as_nanos() as u64)
-                .unwrap_or(0);
-            for (w, &dur_ns) in finishes.iter().enumerate() {
-                let counters = std::mem::take(&mut *lock_recover(&self.shared.deltas[w]));
-                let (tasks, steals) = if count_tasks {
-                    (1, 0)
-                } else {
-                    (
-                        self.shared.worker_tasks[w].load(Ordering::Relaxed),
-                        self.shared.worker_steals[w].load(Ordering::Relaxed),
-                    )
-                };
-                rec.spans.push(WorkerPhaseStat {
+        let mut work = PhaseWork::default();
+        work.exec.idle_ns = finishes.iter().map(|&t| slowest - t).sum();
+        for (w, &dur_ns) in finishes.iter().enumerate() {
+            let tasks = self.shared.worker_tasks[w].load(Ordering::Relaxed);
+            let steals = self.shared.worker_steals[w].load(Ordering::Relaxed);
+            work.exec.tasks += tasks;
+            work.exec.steals += steals;
+            if let Some(base) = profile {
+                work.spans.push(WorkerPhaseStat {
                     worker: w,
-                    start_ns,
+                    start_ns: phase_start
+                        .checked_duration_since(base)
+                        .map_or(0, |d| d.as_nanos() as u64),
                     dur_ns,
                     tasks,
                     steals,
-                    counters,
+                    counters: std::mem::take(&mut *lock_recover(&self.shared.deltas[w])),
                 });
             }
         }
-        if panics.is_empty() {
-            Ok(())
-        } else {
-            Err(panics)
-        }
+        work
     }
 }
 
@@ -541,10 +496,7 @@ impl WorkerPool for Executor {
     }
 
     fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        if let Err(panics) = self.broadcast_inner(f, true) {
-            self.heal();
-            std::panic::panic_any(WorkerPanic(panics));
-        }
+        self.broadcast_counted(f, None);
     }
 }
 
@@ -596,7 +548,7 @@ fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
         };
         // SAFETY: `broadcast_inner` keeps the closure alive until every
         // worker has decremented `remaining` for this epoch.
-        let f: &(dyn Fn(usize) + Sync) = unsafe { &*job };
+        let f: &PhaseFn<'_> = unsafe { &*job };
         // Native counter snapshot around the task, only when profiling —
         // the disabled path never touches the perf module. The group is
         // opened lazily once per worker thread; on hosts without PMU
@@ -615,7 +567,14 @@ fn worker_loop(shared: &Shared, w: usize, start_epoch: u64) {
         // deadlock. The unwind cannot leave `f`'s data in a state the
         // caller misreads — the submitting thread re-raises the panic
         // before looking at any phase output.
-        let caught = catch_unwind(AssertUnwindSafe(|| f(w))).err();
+        let caught = match catch_unwind(AssertUnwindSafe(|| f(w))) {
+            Ok((tasks, steals)) => {
+                shared.worker_tasks[w].store(tasks, Ordering::Relaxed);
+                shared.worker_steals[w].store(steals, Ordering::Relaxed);
+                None
+            }
+            Err(payload) => Some(payload),
+        };
         shared.finish_ns[w].store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if profile {
             let delta = TL_COUNTERS.with(|c| {
@@ -689,18 +648,22 @@ mod tests {
     #[test]
     fn morsels_cover_all_tasks_and_count_steals() {
         let exec = Executor::new(4);
-        exec.drain_counters();
         // Heavily skewed queues: all tasks on node 0 of 2 — workers homed
         // on node 1 must steal everything they run.
         let queues = vec![(0..64).collect::<Vec<_>>(), Vec::new()];
         let done: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        exec.run_morsels(&queues, &|_, t| {
-            done[t].fetch_add(1, Ordering::Relaxed);
-        });
+        let c = exec
+            .run_morsels(
+                &queues,
+                &|_, t| {
+                    done[t].fetch_add(1, Ordering::Relaxed);
+                },
+                None,
+            )
+            .exec;
         for d in &done {
             assert_eq!(d.load(Ordering::Relaxed), 1);
         }
-        let c = exec.drain_counters();
         assert_eq!(c.tasks, 64);
         // Node-1 workers can only have run stolen tasks.
         assert!(c.steals <= 64);
@@ -719,14 +682,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_drain() {
+    fn counters_are_returned_per_phase() {
         let exec = Executor::new(2);
-        exec.drain_counters();
-        exec.broadcast(&|_| {});
-        exec.broadcast(&|_| {});
-        let c = exec.drain_counters();
-        assert_eq!(c.tasks, 4);
-        assert_eq!(exec.drain_counters(), ExecCounters::new());
+        let mut c = exec.broadcast_counted(&|_| {}, None);
+        c.merge(exec.broadcast_counted(&|_| {}, None));
+        assert_eq!(c.exec.tasks, 4);
+        // The pool keeps nothing between phases: an empty morsel phase
+        // reports no work, whatever ran before it.
+        let empty = exec.run_morsels(&[Vec::new()], &|_, _| {}, None);
+        assert_eq!((empty.exec.tasks, empty.exec.steals), (0, 0));
+        assert!(empty.spans.is_empty());
     }
 
     #[test]
@@ -740,15 +705,23 @@ mod tests {
     fn nested_broadcast_runs_inline() {
         let exec = Executor::new(2);
         let inner_hits = AtomicUsize::new(0);
+        let inner_tasks = AtomicU64::new(0);
         exec.broadcast(&|w| {
             if w == 0 {
                 // A phase nested inside a worker must not deadlock.
-                exec.broadcast(&|_| {
-                    inner_hits.fetch_add(1, Ordering::Relaxed);
-                });
+                let inner = exec.broadcast_counted(
+                    &|_| {
+                        inner_hits.fetch_add(1, Ordering::Relaxed);
+                    },
+                    Some(Instant::now()),
+                );
+                // Inline: its tasks count, but it emits no spans.
+                assert!(inner.spans.is_empty());
+                inner_tasks.store(inner.exec.tasks, Ordering::Relaxed);
             }
         });
         assert_eq!(inner_hits.load(Ordering::Relaxed), 2);
+        assert_eq!(inner_tasks.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -801,49 +774,60 @@ mod tests {
     #[test]
     fn run_morsels_contains_task_panics() {
         let exec = Executor::new(4);
-        exec.drain_counters();
         let queues = vec![(0..32).collect::<Vec<_>>()];
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            exec.run_morsels(&queues, &|_, t| {
-                if t == 17 {
-                    panic!("morsel 17 exploded");
-                }
-            });
+            exec.run_morsels(
+                &queues,
+                &|_, t| {
+                    if t == 17 {
+                        panic!("morsel 17 exploded");
+                    }
+                },
+                None,
+            );
         }))
         .expect_err("panic expected");
         assert!(caught.downcast_ref::<WorkerPanic>().is_some());
         // Pool is reusable and morsel scheduling still covers everything.
         let done: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-        exec.run_morsels(&queues, &|_, t| {
-            done[t].fetch_add(1, Ordering::Relaxed);
-        });
+        let c = exec.run_morsels(
+            &queues,
+            &|_, t| {
+                done[t].fetch_add(1, Ordering::Relaxed);
+            },
+            None,
+        );
         for d in &done {
             assert_eq!(d.load(Ordering::Relaxed), 1);
         }
+        // The panicked phase's partial work does not leak into this one.
+        assert_eq!(c.exec.tasks, 32);
     }
 
     #[test]
     fn spans_empty_when_profiling_off() {
         let exec = Executor::new(3);
-        exec.start_recording(false);
-        exec.broadcast(&|_| {});
-        exec.run_morsels(&[(0..8).collect()], &|_, _| {});
-        assert!(exec.drain_spans().is_empty());
-        assert!(!exec.profiling());
+        let mut work = exec.broadcast_counted(&|_| {}, None);
+        work.merge(exec.run_morsels(&[(0..8).collect()], &|_, _| {}, None));
+        assert!(work.spans.is_empty());
+        assert_eq!(work.exec.tasks, 3 + 8);
     }
 
     #[test]
     fn profiled_spans_sum_to_counters() {
         let exec = Executor::new(4);
-        exec.start_recording(true);
-        assert!(exec.profiling());
-        exec.broadcast(&|_| {});
+        let base = Instant::now();
+        let mut work = exec.broadcast_counted(&|_| {}, Some(base));
         let queues = vec![(0..32).collect::<Vec<_>>(), Vec::new()];
-        exec.run_morsels(&queues, &|_, _| {
-            std::hint::black_box((0..500).sum::<u64>());
-        });
-        let c = exec.drain_counters();
-        let spans = exec.drain_spans();
+        work.merge(exec.run_morsels(
+            &queues,
+            &|_, _| {
+                std::hint::black_box((0..500).sum::<u64>());
+            },
+            Some(base),
+        ));
+        let c = work.exec;
+        let spans = work.spans;
         // One span per worker per broadcast: one plain + one morsel phase.
         assert_eq!(spans.len(), 2 * 4);
         let span_tasks: u64 = spans.iter().map(|s| s.tasks).sum();
@@ -857,25 +841,21 @@ mod tests {
         for s in &spans {
             assert!(s.worker < 4);
         }
-        // Timestamps are relative to start_recording and ordered: the
+        // Timestamps are relative to the time base and ordered: the
         // second broadcast starts no earlier than the first.
         let first_start = spans[0].start_ns;
         let second_start = spans[spans.len() - 1].start_ns;
         assert!(second_start >= first_start);
-        exec.start_recording(false);
     }
 
     #[test]
-    fn start_recording_clears_stale_spans() {
+    fn spans_go_only_to_their_phase() {
         let exec = Executor::new(2);
-        exec.start_recording(true);
-        exec.broadcast(&|_| {});
-        // A fresh window drops anything the last join left behind.
-        exec.start_recording(true);
-        assert!(exec.drain_spans().is_empty());
-        exec.broadcast(&|_| {});
-        assert_eq!(exec.drain_spans().len(), 2);
-        exec.start_recording(false);
+        let base = Instant::now();
+        assert_eq!(exec.broadcast_counted(&|_| {}, Some(base)).spans.len(), 2);
+        // Nothing lingers in the pool for the next phase to pick up.
+        assert!(exec.broadcast_counted(&|_| {}, None).spans.is_empty());
+        assert_eq!(exec.broadcast_counted(&|_| {}, Some(base)).spans.len(), 2);
     }
 
     #[test]

@@ -41,6 +41,7 @@ use std::time::Instant;
 use mmjoin_util::pool::{lock_recover, WorkerPool};
 
 use crate::config::JoinConfig;
+use crate::executor::{Executor, PhaseWork};
 use crate::plan::JoinError;
 use crate::stats::JoinResult;
 use crate::Algorithm;
@@ -396,33 +397,67 @@ impl FaultCtx {
     }
 }
 
-/// [`WorkerPool`] adapter that evaluates the join's failpoint on every
+/// One join's view of the shared executor: every phase the join submits
+/// goes through it, and the work each phase returns (tasks, steals,
+/// barrier idle time, and spans when the join is profiled) collects
+/// here until the driver records the phase
+/// ([`JoinResult::push_phase`]). Joins running concurrently on the same
+/// pool therefore never see each other's work.
+///
+/// As a [`WorkerPool`] it also evaluates the join's failpoint on every
 /// worker before running the phase closure — the injection path for
 /// phases whose parallel loops live below `mmjoin-core` (partitioning,
 /// CHT bulkload). It never skips the closure: the pool contract (every
 /// index invoked once) is what the result-slot helpers rely on.
 pub struct CtxPool<'a> {
-    inner: &'a dyn WorkerPool,
+    exec: Arc<Executor>,
     ctx: &'a FaultCtx,
+    /// Span time base (the join start) when the join is profiled.
+    profile: Option<Instant>,
+    /// Work of the phase in progress.
+    work: Mutex<PhaseWork>,
 }
 
 impl<'a> CtxPool<'a> {
-    pub fn new(inner: &'a dyn WorkerPool, ctx: &'a FaultCtx) -> Self {
-        CtxPool { inner, ctx }
+    /// The pool for the join `ctx` tracks, on `cfg`'s executor; spans
+    /// are recorded when `cfg.profile` is enabled.
+    pub fn new(cfg: &JoinConfig, ctx: &'a FaultCtx) -> Self {
+        CtxPool {
+            exec: cfg.executor(),
+            ctx,
+            profile: cfg.profile.enabled.then_some(ctx.started),
+            work: Mutex::new(PhaseWork::default()),
+        }
+    }
+
+    /// [`Executor::run_morsels`] for this join.
+    pub fn run_morsels(&self, queues: &[Vec<usize>], f: &(dyn Fn(usize, usize) + Sync)) {
+        let work = self.exec.run_morsels(queues, f, self.profile);
+        lock_recover(&self.work).merge(work);
+    }
+
+    /// Take the work of every phase run since the last call (a driver
+    /// phase boundary).
+    pub fn take_work(&self) -> PhaseWork {
+        std::mem::take(&mut *lock_recover(&self.work))
     }
 }
 
 impl WorkerPool for CtxPool<'_> {
     fn workers(&self) -> usize {
-        self.inner.workers()
+        self.exec.workers()
     }
 
     fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
         let ctx = self.ctx;
-        self.inner.broadcast(&|w| {
-            ctx.on_worker();
-            f(w);
-        });
+        let work = self.exec.broadcast_counted(
+            &|w| {
+                ctx.on_worker();
+                f(w);
+            },
+            self.profile,
+        );
+        lock_recover(&self.work).merge(work);
     }
 }
 
@@ -657,7 +692,7 @@ mod tests {
         let ctx = FaultCtx::begin(Algorithm::Mway, &cfg);
         ctx.enter_phase("sort");
         let mut result = JoinResult::new(Algorithm::Mway);
-        result.push_phase("partition", Duration::from_millis(1), 0.0);
+        result.push_plain_phase("partition", Duration::from_millis(1), 0.0);
         assert!(ctx.checkpoint(&result).is_ok());
         token.cancel();
         match ctx.checkpoint(&result) {
@@ -668,6 +703,52 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn ctx_pools_sharing_one_executor_keep_their_own_work() {
+        // Two joins' pools on one shared executor, one profiled. The
+        // barrier makes both joins finish their phases before either
+        // records them, so any work held by the pool rather than
+        // returned to its submitter would show up in both.
+        const THREADS: usize = 2;
+        let both_ran = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for profiled in [false, true] {
+                let both_ran = &both_ran;
+                s.spawn(move || {
+                    let mut cfg = JoinConfig::new(THREADS);
+                    if profiled {
+                        cfg.profile = crate::config::ProfileConfig::on();
+                    }
+                    let ctx = FaultCtx::begin(Algorithm::Nop, &cfg);
+                    let pool = CtxPool::new(&cfg, &ctx);
+                    let morsels = |round: usize| round % 7 + 1 + usize::from(profiled);
+                    // Assert only after the loop: a panic between the
+                    // barrier waits would strand the other thread.
+                    let works: Vec<PhaseWork> = (0..50)
+                        .map(|round| {
+                            pool.broadcast(&|_| {});
+                            pool.run_morsels(&[(0..morsels(round)).collect()], &|_, _| {});
+                            both_ran.wait();
+                            let work = pool.take_work();
+                            both_ran.wait();
+                            work
+                        })
+                        .collect();
+                    for (round, work) in works.iter().enumerate() {
+                        assert_eq!(work.exec.tasks, (THREADS + morsels(round)) as u64);
+                        if profiled {
+                            assert_eq!(work.spans.len(), 2 * THREADS);
+                            let span_tasks: u64 = work.spans.iter().map(|w| w.tasks).sum();
+                            assert_eq!(span_tasks, work.exec.tasks);
+                        } else {
+                            assert!(work.spans.is_empty());
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

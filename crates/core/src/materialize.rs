@@ -52,14 +52,13 @@ pub fn join_index(
     let mut result = crate::stats::JoinResult::new(Algorithm::Cprl);
     let bits = cfg.bits_for_hash_tables(r.len());
     let f = RadixFn::new(bits);
-    let pool = cfg.executor();
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
     let parts = f.fanout();
 
     ctx.enter_phase("partition");
     let _part_charge = ctx.charge((r.len() + s.len()) * 8 + cfg.threads * parts * 64)?;
-    let cr = chunked_partition_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let cs = chunked_partition_on(s.tuples(), f, &cpool, ScatterMode::Swwcb);
+    let cr = chunked_partition_on(r.tuples(), f, &pool, ScatterMode::Swwcb);
+    let cs = chunked_partition_on(s.tuples(), f, &pool, ScatterMode::Swwcb);
     ctx.checkpoint(&result)?;
 
     ctx.enter_phase("join");

@@ -41,9 +41,7 @@ pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     result.radix_bits = Some(bits);
     let f = RadixFn::new(bits);
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     // Phase 1: partition both inputs (single pass, SWWCB).
     ctx.enter_phase("partition");
@@ -51,8 +49,8 @@ pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     // SWWCB pools (one cache line per partition per worker).
     let _part_charge = ctx.charge((r.len() + s.len()) * 8 + cfg.threads * parts * 64)?;
     let start = Instant::now();
-    let pr = partition_parallel_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let ps = partition_parallel_on(s.tuples(), f, &cpool, ScatterMode::Swwcb);
+    let pr = partition_parallel_on(r.tuples(), f, &pool, ScatterMode::Swwcb);
+    let ps = partition_parallel_on(s.tuples(), f, &pool, ScatterMode::Swwcb);
     let part_wall = start.elapsed();
     let mut part_sim = 0.0;
     for (rel, len) in [(r, r.len()), (s, s.len())] {
@@ -67,7 +65,7 @@ pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
         let order: Vec<usize> = (0..specs.len()).collect();
         part_sim += spec::run_phase(cfg, &specs, &order).0;
     }
-    result.push_phase_pool("partition", part_wall, part_sim, &pool);
+    result.push_phase("partition", part_wall, part_sim, &pool);
     ctx.checkpoint(&result)?;
 
     // Phase 2: sort every partition of both sides (morsel per partition).
@@ -95,7 +93,7 @@ pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     let sort_specs = sort_phase_specs(cfg, &pr, &ps);
     let order = task_order(parts, ScheduleOrder::Sequential);
     let (sort_sim, _) = spec::run_phase(cfg, &sort_specs, &order);
-    result.push_phase_pool("sort", sort_wall, sort_sim, &pool);
+    result.push_phase("sort", sort_wall, sort_sim, &pool);
     ctx.checkpoint(&result)?;
 
     // Phase 3: merge-join co-partitions.
@@ -125,7 +123,7 @@ pub fn join_mway(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
         0.0, // no table: pure streaming merge
     );
     let (join_sim, _) = spec::run_phase(cfg, &tasks, &order);
-    result.push_phase_pool("join", join_wall, join_sim, &pool);
+    result.push_phase("join", join_wall, join_sim, &pool);
     ctx.checkpoint(&result)?;
     Ok(result)
 }

@@ -27,9 +27,7 @@ use crate::Algorithm;
 pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
     let ctx = FaultCtx::begin(Algorithm::Nop, cfg);
     let mut result = JoinResult::new(Algorithm::Nop);
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     // Build phase.
     ctx.enter_phase("build");
@@ -39,7 +37,7 @@ pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
     let table = ConcurrentLinearTable::<IdentityHash>::with_capacity(r.len());
     let table_bytes = table.memory_bytes() as f64;
     let start = Instant::now();
-    parallel_chunks(&cpool, r.tuples(), |_, chunk| {
+    parallel_chunks(&pool, r.tuples(), |_, chunk| {
         for block in chunk.chunks(MORSEL) {
             if ctx.should_stop() {
                 return;
@@ -52,7 +50,7 @@ pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
         spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::BUILD);
     let order: Vec<usize> = (0..build_specs.len()).collect();
     let (build_sim, build_phase) = spec::run_phase(cfg, &build_specs, &order);
-    result.push_phase_pool("build", build_wall, build_sim, &pool);
+    result.push_phase("build", build_wall, build_sim, &pool);
     if cfg.keep_timelines {
         result.timelines.push(("build", build_phase));
     }
@@ -61,7 +59,7 @@ pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
     // Probe phase.
     ctx.enter_phase("probe");
     let start = Instant::now();
-    let checksums = parallel_chunks(&cpool, s.tuples(), |_, chunk| {
+    let checksums = parallel_chunks(&pool, s.tuples(), |_, chunk| {
         let mut c = JoinChecksum::new();
         for block in chunk.chunks(MORSEL) {
             if ctx.should_stop() {
@@ -79,7 +77,7 @@ pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
         spec::global_probe_specs(cfg, s.len(), s.placement(), table_bytes, 1.0, ops::PROBE);
     let order: Vec<usize> = (0..probe_specs.len()).collect();
     let (probe_sim, probe_phase) = spec::run_phase(cfg, &probe_specs, &order);
-    result.push_phase_pool("probe", probe_wall, probe_sim, &pool);
+    result.push_phase("probe", probe_wall, probe_sim, &pool);
     if cfg.keep_timelines {
         result.timelines.push(("probe", probe_phase));
     }
@@ -91,9 +89,7 @@ pub fn join_nop(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
 pub fn join_nopa(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResult, JoinError> {
     let ctx = FaultCtx::begin(Algorithm::Nopa, cfg);
     let mut result = JoinResult::new(Algorithm::Nopa);
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     ctx.enter_phase("build");
     let domain = cfg.domain(r.len());
@@ -103,7 +99,7 @@ pub fn join_nopa(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     let table_bytes = table.memory_bytes() as f64;
 
     let start = Instant::now();
-    parallel_chunks(&cpool, r.tuples(), |_, chunk| {
+    parallel_chunks(&pool, r.tuples(), |_, chunk| {
         for block in chunk.chunks(MORSEL) {
             if ctx.should_stop() {
                 return;
@@ -116,12 +112,12 @@ pub fn join_nopa(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
         spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::ARRAY);
     let order: Vec<usize> = (0..build_specs.len()).collect();
     let (build_sim, _) = spec::run_phase(cfg, &build_specs, &order);
-    result.push_phase_pool("build", build_wall, build_sim, &pool);
+    result.push_phase("build", build_wall, build_sim, &pool);
     ctx.checkpoint(&result)?;
 
     ctx.enter_phase("probe");
     let start = Instant::now();
-    let checksums = parallel_chunks(&cpool, s.tuples(), |_, chunk| {
+    let checksums = parallel_chunks(&pool, s.tuples(), |_, chunk| {
         let mut c = JoinChecksum::new();
         for block in chunk.chunks(MORSEL) {
             if ctx.should_stop() {
@@ -137,7 +133,7 @@ pub fn join_nopa(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
         spec::global_probe_specs(cfg, s.len(), s.placement(), table_bytes, 1.0, ops::ARRAY);
     let order: Vec<usize> = (0..probe_specs.len()).collect();
     let (probe_sim, _) = spec::run_phase(cfg, &probe_specs, &order);
-    result.push_phase_pool("probe", probe_wall, probe_sim, &pool);
+    result.push_phase("probe", probe_wall, probe_sim, &pool);
     ctx.checkpoint(&result)?;
     Ok(result)
 }

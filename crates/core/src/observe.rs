@@ -102,7 +102,7 @@ fn push_event(out: &mut String, first: &mut bool, body: &str) {
     out.push_str(body);
 }
 
-/// `[ts, end)` of a phase bar in ns since recording start: span extents
+/// `[ts, end)` of a phase bar in ns since the join start: span extents
 /// when profiling recorded any, else synthesized sequentially from
 /// `cursor_ns` (profiling off still yields a readable trace).
 fn phase_extent(p: &PhaseStat, cursor_ns: u64) -> (u64, u64) {
@@ -159,7 +159,7 @@ fn alloc_json(p: &PhaseStat) -> String {
 
 /// Render `results` as chrome://tracing trace-event JSON (the "JSON
 /// array format"; load via chrome://tracing "Load" or ui.perfetto.dev).
-/// Timestamps are microseconds since each run's recording start.
+/// Timestamps are microseconds since each run's join start.
 pub fn chrome_trace(results: &[JoinResult]) -> String {
     let mut out = String::from("[\n");
     let mut first = true;
@@ -429,7 +429,7 @@ mod tests {
                 },
             ],
         });
-        r.push_phase("join", Duration::from_millis(5), 0.002);
+        r.push_plain_phase("join", Duration::from_millis(5), 0.002);
         r
     }
 

@@ -25,7 +25,8 @@
 //! Fault plumbing (PR 2) and per-phase spans (PR 4) flow through
 //! unchanged: every phase runs under a [`FaultCtx`] with deadline /
 //! cancellation checks at morsel granularity, memory charges before
-//! large allocations, and `push_phase_pool` span collection.
+//! large allocations, and per-join span collection through the join's
+//! [`CtxPool`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -44,7 +45,7 @@ use mmjoin_util::Relation;
 
 use crate::config::{JoinConfig, TableKind};
 use crate::exec::{morsel_map, parallel_chunks, MORSEL};
-use crate::executor::{Executor, QueuePolicy};
+use crate::executor::QueuePolicy;
 use crate::fault::{CtxPool, FaultCtx};
 use crate::plan::{JoinConfigBuilder, JoinError};
 use crate::spec::{self, ops, FusedStageModel, PartitionLayout, PartitionWrites};
@@ -319,9 +320,7 @@ fn prepare_inner(
 
     let ctx = FaultCtx::begin(algorithm, cfg);
     let mut result = JoinResult::new(algorithm);
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     let mut radix_bits = None;
     let (inner, accesses, cpu) = match algorithm {
@@ -331,7 +330,7 @@ fn prepare_inner(
             let table = ConcurrentLinearTable::<IdentityHash>::with_capacity(r.len());
             let table_bytes = table.memory_bytes() as f64;
             let start = Instant::now();
-            parallel_chunks(&cpool, r.tuples(), |_, chunk| {
+            parallel_chunks(&pool, r.tuples(), |_, chunk| {
                 for block in chunk.chunks(MORSEL) {
                     if ctx.should_stop() {
                         return;
@@ -344,7 +343,7 @@ fn prepare_inner(
                 spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::BUILD);
             let order: Vec<usize> = (0..specs.len()).collect();
             let (build_sim, _) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("build", build_wall, build_sim, &pool);
+            result.push_phase("build", build_wall, build_sim, &pool);
             ctx.checkpoint(&result)?;
             (BuildInner::Linear(table), 1.0, ops::PROBE)
         }
@@ -355,7 +354,7 @@ fn prepare_inner(
             let table = ConcurrentArrayTable::new(domain + 1, 1);
             let table_bytes = table.memory_bytes() as f64;
             let start = Instant::now();
-            parallel_chunks(&cpool, r.tuples(), |_, chunk| {
+            parallel_chunks(&pool, r.tuples(), |_, chunk| {
                 for block in chunk.chunks(MORSEL) {
                     if ctx.should_stop() {
                         return;
@@ -368,7 +367,7 @@ fn prepare_inner(
                 spec::global_build_specs(cfg, r.len(), r.placement(), table_bytes, ops::ARRAY);
             let order: Vec<usize> = (0..specs.len()).collect();
             let (build_sim, _) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("build", build_wall, build_sim, &pool);
+            result.push_phase("build", build_wall, build_sim, &pool);
             ctx.checkpoint(&result)?;
             (BuildInner::Array(table), 1.0, ops::ARRAY)
         }
@@ -376,7 +375,7 @@ fn prepare_inner(
             ctx.enter_phase("build");
             let _table_charge = ctx.charge(r.len() * 16)?;
             let start = Instant::now();
-            let cht = ConciseHashTable::<MultiplicativeHash>::build_on(r.tuples(), &cpool);
+            let cht = ConciseHashTable::<MultiplicativeHash>::build_on(r.tuples(), &pool);
             let build_wall = start.elapsed();
             let table_bytes = cht.memory_bytes() as f64;
             let specs = spec::global_build_specs(
@@ -388,7 +387,7 @@ fn prepare_inner(
             );
             let order: Vec<usize> = (0..specs.len()).collect();
             let (build_sim, _) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("build", build_wall, build_sim, &pool);
+            result.push_phase("build", build_wall, build_sim, &pool);
             ctx.checkpoint(&result)?;
             (BuildInner::Concise(cht), 2.0, ops::CHT_PROBE)
         }
@@ -409,7 +408,7 @@ fn prepare_inner(
             ctx.enter_phase("partition");
             let _part_charge = ctx.charge(r.len() * 8 + cfg.threads * parts * 64)?;
             let start = Instant::now();
-            let pr = partition_parallel_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
+            let pr = partition_parallel_on(r.tuples(), f, &pool, ScatterMode::Swwcb);
             let part_wall = start.elapsed();
             let specs = spec::partition_pass_specs(
                 cfg,
@@ -421,7 +420,7 @@ fn prepare_inner(
             );
             let order: Vec<usize> = (0..specs.len()).collect();
             let (part_sim, part_phase) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("partition", part_wall, part_sim, &pool);
+            result.push_phase("partition", part_wall, part_sim, &pool);
             if cfg.keep_timelines {
                 result.timelines.push(("partition", part_phase));
             }
@@ -450,7 +449,7 @@ fn prepare_inner(
             );
             let order: Vec<usize> = (0..specs.len()).collect();
             let (build_sim, _) = spec::run_phase(cfg, &specs, &order);
-            result.push_phase_pool("build", build_wall, build_sim, &pool);
+            result.push_phase("build", build_wall, build_sim, &pool);
             ctx.checkpoint(&result)?;
             (BuildInner::Partitioned { radix: f, tables }, 1.0, cpu_probe)
         }
@@ -478,7 +477,7 @@ fn prepare_inner(
 }
 
 fn build_part_tables(
-    pool: &Executor,
+    pool: &CtxPool,
     ctx: &FaultCtx,
     pr: &PartitionedRelation,
     kind: TableKind,
@@ -493,7 +492,7 @@ fn build_part_tables(
 }
 
 fn build_tables<T: JoinTable + Send>(
-    pool: &Executor,
+    pool: &CtxPool,
     ctx: &FaultCtx,
     pr: &PartitionedRelation,
     kind: TableKind,
@@ -711,9 +710,7 @@ impl Pipeline {
         for side in stages {
             result.phases.extend(side.phases.iter().cloned());
         }
-        let pool = cfg.executor();
-        pool.start_recording(cfg.profile.enabled);
-        let cpool = CtxPool::new(pool.as_ref(), &ctx);
+        let pool = CtxPool::new(cfg, &ctx);
 
         ctx.enter_phase("probe");
         let batch = cfg.pipeline_batch.max(1);
@@ -723,7 +720,7 @@ impl Pipeline {
         let unique = cfg.unique_build_keys;
         let active = pool.workers().clamp(1, s_tuples.len().max(1));
         let start = Instant::now();
-        let outs: Vec<(JoinChecksum, Vec<u64>)> = broadcast_map(&cpool, active, |w| {
+        let outs: Vec<(JoinChecksum, Vec<u64>)> = broadcast_map(&pool, active, |w| {
             let range = chunk_range(s_tuples.len(), active, w);
             let mut rid = range.start as u32;
             let mut c = JoinChecksum::new();
@@ -777,7 +774,7 @@ impl Pipeline {
         let order: Vec<usize> = (0..specs.len()).collect();
         let (probe_sim, probe_phase) = spec::run_phase(cfg, &specs, &order);
         result.set_checksum(checksum);
-        result.push_phase_pool("probe", probe_wall, probe_sim, &pool);
+        result.push_phase("probe", probe_wall, probe_sim, &pool);
         if cfg.keep_timelines {
             result.timelines.push(("probe", probe_phase));
         }

@@ -38,9 +38,7 @@ pub fn join_prb(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
     let kind = TableKind::Chained;
     let domain = cfg.domain(r.len());
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     // Partition phase: two passes, no SWWCB.
     ctx.enter_phase("partition");
@@ -49,8 +47,8 @@ pub fn join_prb(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
     // peak: two live copies.
     let _part_charge = ctx.charge(2 * (r.len() + s.len()) * 8)?;
     let start = Instant::now();
-    let pr = two_pass_partition_on(r.tuples(), bits1, bits2, &cpool, ScatterMode::Direct);
-    let ps = two_pass_partition_on(s.tuples(), bits1, bits2, &cpool, ScatterMode::Direct);
+    let pr = two_pass_partition_on(r.tuples(), bits1, bits2, &pool, ScatterMode::Direct);
+    let ps = two_pass_partition_on(s.tuples(), bits1, bits2, &pool, ScatterMode::Direct);
     let part_wall = start.elapsed();
     let mut part_sim = 0.0;
     for (rel, len) in [(r, r.len()), (s, s.len())] {
@@ -67,7 +65,7 @@ pub fn join_prb(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
             part_sim += spec::run_phase(cfg, &specs, &order).0;
         }
     }
-    result.push_phase_pool("partition", part_wall, part_sim, &pool);
+    result.push_phase("partition", part_wall, part_sim, &pool);
     ctx.checkpoint(&result)?;
 
     // Join phase.
@@ -110,7 +108,7 @@ pub fn join_prb(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinResu
         table_bytes_per_tuple(kind, domain, total_bits, r.len()),
     );
     let (join_sim, sim) = spec::run_phase(cfg, &tasks, &order);
-    result.push_phase_pool("join", join_wall, join_sim, &pool);
+    result.push_phase("join", join_wall, join_sim, &pool);
     if cfg.keep_timelines {
         result.timelines.push(("join", sim));
     }

@@ -26,7 +26,7 @@ use mmjoin_util::Relation;
 
 use crate::config::{JoinConfig, TableKind};
 use crate::exec::join_morsels;
-use crate::executor::{Executor, QueuePolicy};
+use crate::executor::QueuePolicy;
 use crate::fault::{CtxPool, FaultCtx};
 use crate::plan::JoinError;
 use crate::spec::{self, ops, PartitionLayout, PartitionWrites};
@@ -140,9 +140,7 @@ pub fn join_pro(
     let parts = f.fanout();
     let domain = cfg.domain(r.len());
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     // Partition phase (R then S, like the original driver).
     ctx.enter_phase("partition");
@@ -150,8 +148,8 @@ pub fn join_pro(
     // SWWCB pools (one cache line per partition per worker).
     let _part_charge = ctx.charge((r.len() + s.len()) * 8 + cfg.threads * parts * 64)?;
     let start = Instant::now();
-    let pr = partition_parallel_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let ps = partition_parallel_on(s.tuples(), f, &cpool, ScatterMode::Swwcb);
+    let pr = partition_parallel_on(r.tuples(), f, &pool, ScatterMode::Swwcb);
+    let ps = partition_parallel_on(s.tuples(), f, &pool, ScatterMode::Swwcb);
     let part_wall = start.elapsed();
     let mut part_sim = 0.0;
     for (rel, len) in [(r, r.len()), (s, s.len())] {
@@ -170,7 +168,7 @@ pub fn join_pro(
             result.timelines.push(("partition", sim));
         }
     }
-    result.push_phase_pool("partition", part_wall, part_sim, &pool);
+    result.push_phase("partition", part_wall, part_sim, &pool);
     ctx.checkpoint(&result)?;
 
     // Join phase. The simulator still sees the queue *insertion order*
@@ -216,7 +214,7 @@ pub fn join_pro(
         table_bytes_per_tuple(kind, domain, bits, r.len()),
     );
     let (join_sim, sim) = spec::run_phase(cfg, &tasks, &order);
-    result.push_phase_pool("join", join_wall, join_sim, &pool);
+    result.push_phase("join", join_wall, join_sim, &pool);
     if cfg.keep_timelines {
         result.timelines.push(("join", sim));
     }
@@ -234,7 +232,7 @@ fn partition_sizes(pr: &PartitionedRelation, ps: &PartitionedRelation) -> (Vec<u
 
 #[allow(clippy::too_many_arguments)]
 fn run_contiguous_join_phase(
-    pool: &Executor,
+    pool: &CtxPool,
     ctx: &FaultCtx,
     policy: QueuePolicy,
     pr: &PartitionedRelation,
@@ -290,6 +288,7 @@ fn run_contiguous_join_phase(
         };
         total.merge(crate::skew::join_skewed_partition(
             cfg,
+            pool,
             kind,
             &spec,
             &[pr.partition(p)],
@@ -320,9 +319,7 @@ pub fn join_pro_two_pass(
     let parts = 1usize << total_bits;
     let domain = cfg.domain(r.len());
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     ctx.enter_phase("partition");
     // Two passes: the pass-1 output lives until pass 2 finishes, so the
@@ -333,14 +330,14 @@ pub fn join_pro_two_pass(
         r.tuples(),
         bits1,
         bits2,
-        &cpool,
+        &pool,
         ScatterMode::Swwcb,
     );
     let ps = mmjoin_partition::two_pass_partition_on(
         s.tuples(),
         bits1,
         bits2,
-        &cpool,
+        &pool,
         ScatterMode::Swwcb,
     );
     let part_wall = start.elapsed();
@@ -359,7 +356,7 @@ pub fn join_pro_two_pass(
             part_sim += spec::run_phase(cfg, &specs, &order).0;
         }
     }
-    result.push_phase_pool("partition", part_wall, part_sim, &pool);
+    result.push_phase("partition", part_wall, part_sim, &pool);
     ctx.checkpoint(&result)?;
 
     ctx.enter_phase("join");
@@ -391,7 +388,7 @@ pub fn join_pro_two_pass(
         table_bytes_per_tuple(kind, domain, total_bits, r.len()),
     );
     let (join_sim, _) = spec::run_phase(cfg, &tasks, &order);
-    result.push_phase_pool("join", join_wall, join_sim, &pool);
+    result.push_phase("join", join_wall, join_sim, &pool);
     ctx.checkpoint(&result)?;
     Ok(result)
 }
@@ -416,17 +413,15 @@ pub fn join_cpr(
     let parts = f.fanout();
     let domain = cfg.domain(r.len());
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     // Chunk-local partition phase.
     ctx.enter_phase("partition");
     // Chunk-local partitioned copies plus per-worker SWWCB pools.
     let _part_charge = ctx.charge((r.len() + s.len()) * 8 + cfg.threads * parts * 64)?;
     let start = Instant::now();
-    let cr = chunked_partition_on(r.tuples(), f, &cpool, ScatterMode::Swwcb);
-    let cs = chunked_partition_on(s.tuples(), f, &cpool, ScatterMode::Swwcb);
+    let cr = chunked_partition_on(r.tuples(), f, &pool, ScatterMode::Swwcb);
+    let cs = chunked_partition_on(s.tuples(), f, &pool, ScatterMode::Swwcb);
     let part_wall = start.elapsed();
     let mut part_sim = 0.0;
     for (rel, len) in [(r, r.len()), (s, s.len())] {
@@ -445,7 +440,7 @@ pub fn join_cpr(
             result.timelines.push(("partition", sim));
         }
     }
-    result.push_phase_pool("partition", part_wall, part_sim, &pool);
+    result.push_phase("partition", part_wall, part_sim, &pool);
     ctx.checkpoint(&result)?;
 
     // Join phase: gather chunk slices per partition.
@@ -485,7 +480,7 @@ pub fn join_cpr(
         table_bytes_per_tuple(kind, domain, bits, r.len()),
     );
     let (join_sim, sim) = spec::run_phase(cfg, &tasks, &order);
-    result.push_phase_pool("join", join_wall, join_sim, &pool);
+    result.push_phase("join", join_wall, join_sim, &pool);
     if cfg.keep_timelines {
         result.timelines.push(("join", sim));
     }
@@ -495,7 +490,7 @@ pub fn join_cpr(
 
 #[allow(clippy::too_many_arguments)]
 fn run_chunked_join_phase(
-    pool: &Executor,
+    pool: &CtxPool,
     ctx: &FaultCtx,
     policy: QueuePolicy,
     cr: &ChunkedPartitions,
@@ -554,7 +549,7 @@ fn run_chunked_join_phase(
         let s_slices: Vec<&[mmjoin_util::Tuple]> =
             cs.chunks().iter().map(|ch| ch.partition(p)).collect();
         total.merge(crate::skew::join_skewed_partition(
-            cfg, kind, &spec, &r_slices, &s_slices,
+            cfg, pool, kind, &spec, &r_slices, &s_slices,
         ));
     }
     total

@@ -123,15 +123,13 @@ pub fn join_shhj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     let parts = f.fanout();
     let unique = cfg.unique_build_keys;
 
-    let pool = cfg.executor();
-    pool.start_recording(cfg.profile.enabled);
-    let cpool = CtxPool::new(pool.as_ref(), &ctx);
+    let pool = CtxPool::new(cfg, &ctx);
 
     // ---- partition phase: histogram, residency plan, scatter, build --
     ctx.enter_phase("partition");
     let start = Instant::now();
     let locals: Vec<Vec<usize>> =
-        parallel_chunks(&cpool, r.tuples(), |_, chunk| histogram(chunk, f));
+        parallel_chunks(&pool, r.tuples(), |_, chunk| histogram(chunk, f));
     let mut hist = vec![0usize; parts];
     for l in &locals {
         for (p, n) in l.iter().enumerate() {
@@ -209,7 +207,7 @@ pub fn join_shhj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
     // Scatter R: resident tuples into chunk-local vectors (gathered as
     // slices at build time, like CPR), evicted tuples staged and
     // appended to the partition's run under its writer lock.
-    let chunk_outs: Vec<Vec<Vec<Tuple>>> = parallel_chunks(&cpool, r.tuples(), |w, chunk| {
+    let chunk_outs: Vec<Vec<Vec<Tuple>>> = parallel_chunks(&pool, r.tuples(), |w, chunk| {
         let mut local: Vec<Vec<Tuple>> = (0..parts)
             .map(|p| {
                 if resident[p] {
@@ -268,23 +266,19 @@ pub fn join_shhj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
                 .map_or(0, |w| lock_recover(w).tuples() * 8)
         })
         .sum();
-    result.push_phase_pool_spill(
-        "partition",
-        start.elapsed(),
-        0.0,
-        &pool,
-        SpillCounters {
-            bytes_spilled: r_spilled_bytes,
-            partitions_spilled: spilled_parts.len() as u64,
-            recursion_depth: 0,
-        },
-    );
+    result
+        .push_phase("partition", start.elapsed(), 0.0, &pool)
+        .spill = SpillCounters {
+        bytes_spilled: r_spilled_bytes,
+        partitions_spilled: spilled_parts.len() as u64,
+        recursion_depth: 0,
+    };
     ctx.checkpoint(&result)?;
 
     // ---- probe phase: one pass over S ---------------------------------
     ctx.enter_phase("probe");
     let start = Instant::now();
-    let probe_outs: Vec<JoinChecksum> = parallel_chunks(&cpool, s.tuples(), |_, chunk| {
+    let probe_outs: Vec<JoinChecksum> = parallel_chunks(&pool, s.tuples(), |_, chunk| {
         let mut c = JoinChecksum::new();
         let mut stage: Vec<Vec<Tuple>> = (0..parts).map(|_| Vec::new()).collect();
         for block in chunk.chunks(MORSEL) {
@@ -327,17 +321,13 @@ pub fn join_shhj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
                 .map_or(0, |w| lock_recover(w).tuples() * 8)
         })
         .sum();
-    result.push_phase_pool_spill(
-        "probe",
-        start.elapsed(),
-        0.0,
-        &pool,
-        SpillCounters {
-            bytes_spilled: s_spilled_bytes,
-            partitions_spilled: 0,
-            recursion_depth: 0,
-        },
-    );
+    result
+        .push_phase("probe", start.elapsed(), 0.0, &pool)
+        .spill = SpillCounters {
+        bytes_spilled: s_spilled_bytes,
+        partitions_spilled: 0,
+        recursion_depth: 0,
+    };
     ctx.checkpoint(&result)?;
 
     // ---- spill phase: join the evicted partitions from disk ----------
@@ -387,7 +377,9 @@ pub fn join_shhj(r: &Relation, s: &Relation, cfg: &JoinConfig) -> Result<JoinRes
         ctx.budget().release(overhead_bytes);
     }
     result.set_checksum(checksum);
-    result.push_phase_pool_spill("spill", start.elapsed(), 0.0, &pool, spill_counters);
+    result
+        .push_phase("spill", start.elapsed(), 0.0, &pool)
+        .spill = spill_counters;
     ctx.checkpoint(&result)?;
     Ok(result)
 }

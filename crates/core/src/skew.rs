@@ -55,10 +55,12 @@ pub fn classify_partitions(s_sizes: &[usize], threads: usize) -> (Vec<usize>, Ve
 }
 
 /// Cooperatively join one skewed co-partition: single build, then all
-/// threads probe disjoint chunks. `r_slices`/`s_slices` are the chunked
-/// (or single) slices of the partition's build and probe sides.
+/// of `pool`'s threads probe disjoint chunks. `r_slices`/`s_slices` are
+/// the chunked (or single) slices of the partition's build and probe
+/// sides.
 pub fn join_skewed_partition(
     cfg: &JoinConfig,
+    pool: &dyn WorkerPool,
     kind: TableKind,
     spec: &TableSpec,
     r_slices: &[&[Tuple]],
@@ -66,7 +68,6 @@ pub fn join_skewed_partition(
 ) -> JoinChecksum {
     // Flatten the probe side into per-thread ranges over the slice list.
     let total_probe: usize = s_slices.iter().map(|s| s.len()).sum();
-    let pool = cfg.executor();
     let threads = pool.workers().clamp(1, total_probe.max(1));
 
     // Build once (single-threaded: skewed partitions have an ordinary-
@@ -83,7 +84,7 @@ pub fn join_skewed_partition(
                 }
             }
             let table = &table;
-            let parts: Vec<JoinChecksum> = broadcast_map(pool.as_ref(), threads, |t| {
+            let parts: Vec<JoinChecksum> = broadcast_map(pool, threads, |t| {
                 let range = chunk_range(total_probe, threads, t);
                 let mut c = JoinChecksum::new();
                 // Walk the slice list, probing only the global
@@ -182,7 +183,9 @@ mod tests {
         let s_slices: Vec<&[Tuple]> = vec![&probe[..1], &probe[1..5000], &probe[5000..]];
         let spec = TableSpec::hashed(build.len());
         for kind in [TableKind::Chained, TableKind::Linear] {
-            let coop = join_skewed_partition(&cfg, kind, &spec, &r_slices, &s_slices);
+            let pool = cfg.executor();
+            let coop =
+                join_skewed_partition(&cfg, pool.as_ref(), kind, &spec, &r_slices, &s_slices);
             let serial = join_partition_serial(kind, &spec, &r_slices, &s_slices);
             assert_eq!(coop, serial, "{kind:?}");
             assert_eq!(coop.count, 10_000);
@@ -197,7 +200,14 @@ mod tests {
         let r_slices: Vec<&[Tuple]> = vec![&build];
         let s_slices: Vec<&[Tuple]> = vec![&probe];
         let spec = TableSpec::array(0, 51);
-        let coop = join_skewed_partition(&cfg, TableKind::Array, &spec, &r_slices, &s_slices);
+        let coop = join_skewed_partition(
+            &cfg,
+            cfg.executor().as_ref(),
+            TableKind::Array,
+            &spec,
+            &r_slices,
+            &s_slices,
+        );
         assert_eq!(coop.count, 5_000);
     }
 }

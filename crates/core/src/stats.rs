@@ -9,7 +9,7 @@ use mmjoin_util::mem::{self, AllocSnapshot};
 use mmjoin_util::perf::CounterDelta;
 use mmjoin_util::pool::{ExecCounters, WorkerPhaseStat};
 
-use crate::executor::Executor;
+use crate::fault::CtxPool;
 use crate::Algorithm;
 
 /// Disk-spill activity of one phase (the spilling hybrid hash join;
@@ -166,64 +166,29 @@ impl JoinResult {
         self.checksum = c.digest;
     }
 
-    pub fn push_phase(&mut self, name: &'static str, wall: Duration, sim_seconds: f64) {
-        self.push_phase_exec(name, wall, sim_seconds, ExecCounters::new());
-    }
-
-    /// `push_phase` carrying the executor's scheduling counters for the
-    /// phase (drained at the phase boundary).
-    pub fn push_phase_exec(
+    /// Record a phase boundary: the executor work this join ran on
+    /// `pool` since the previous boundary (aggregate counters and, when
+    /// profiled, worker spans) becomes one phase. Returns the phase so
+    /// a driver can attach its spill counters.
+    pub fn push_phase(
         &mut self,
         name: &'static str,
         wall: Duration,
         sim_seconds: f64,
-        exec: ExecCounters,
-    ) {
+        pool: &CtxPool,
+    ) -> &mut PhaseStat {
+        let work = pool.take_work();
         let alloc = self.take_alloc();
         self.phases.push(PhaseStat {
             name,
             wall,
             sim_seconds,
-            exec,
+            exec: work.exec,
             spill: SpillCounters::default(),
             alloc,
-            workers: Vec::new(),
+            workers: work.spans,
         });
-    }
-
-    /// The phase-boundary drain every driver uses: take the aggregate
-    /// counters *and* the per-worker spans accumulated on `pool` since
-    /// the previous boundary and record them as one phase.
-    pub fn push_phase_pool(
-        &mut self,
-        name: &'static str,
-        wall: Duration,
-        sim_seconds: f64,
-        pool: &Executor,
-    ) {
-        self.push_phase_pool_spill(name, wall, sim_seconds, pool, SpillCounters::default());
-    }
-
-    /// [`JoinResult::push_phase_pool`] with the phase's disk-spill
-    /// counters attached (the spilling join's drain).
-    pub fn push_phase_pool_spill(
-        &mut self,
-        name: &'static str,
-        wall: Duration,
-        sim_seconds: f64,
-        pool: &Executor,
-        spill: SpillCounters,
-    ) {
-        let alloc = self.take_alloc();
-        self.phases.push(PhaseStat {
-            name,
-            wall,
-            sim_seconds,
-            exec: pool.drain_counters(),
-            spill,
-            alloc,
-            workers: pool.drain_spans(),
-        });
+        self.phases.last_mut().expect("phase just pushed")
     }
 
     /// Native counter totals over all phases (see
@@ -303,14 +268,35 @@ impl JoinResult {
 }
 
 #[cfg(test)]
+impl JoinResult {
+    /// A phase with no executor work (unit tests of the result types).
+    pub(crate) fn push_plain_phase(
+        &mut self,
+        name: &'static str,
+        wall: Duration,
+        sim_seconds: f64,
+    ) {
+        self.phases.push(PhaseStat {
+            name,
+            wall,
+            sim_seconds,
+            exec: ExecCounters::new(),
+            spill: SpillCounters::default(),
+            alloc: AllocCounters::default(),
+            workers: Vec::new(),
+        });
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn totals_and_filters() {
         let mut r = JoinResult::new(Algorithm::Pro);
-        r.push_phase("partition", Duration::from_millis(10), 0.5);
-        r.push_phase("join", Duration::from_millis(20), 1.0);
+        r.push_plain_phase("partition", Duration::from_millis(10), 0.5);
+        r.push_plain_phase("join", Duration::from_millis(20), 1.0);
         assert_eq!(r.total_wall(), Duration::from_millis(30));
         assert!((r.total_sim() - 1.5).abs() < 1e-12);
         assert!((r.sim_of("join") - 1.0).abs() < 1e-12);
@@ -330,7 +316,7 @@ mod tests {
     #[test]
     fn throughput_uses_sim_time() {
         let mut r = JoinResult::new(Algorithm::Cprl);
-        r.push_phase("join", Duration::ZERO, 2.0);
+        r.push_plain_phase("join", Duration::ZERO, 2.0);
         let mt = r.sim_throughput_mtps(1_000_000, 1_000_000);
         assert!((mt - 1.0).abs() < 1e-9);
     }

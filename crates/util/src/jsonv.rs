@@ -8,9 +8,8 @@
 //! the astral code point they encode, and only *lone* surrogates
 //! degrade to replacement chars).
 //!
-//! Lived in `mmjoin-bench` until the service layer needed it below the
-//! bench crate in the dependency graph; `mmjoin_bench::jsonv` re-exports
-//! this module, so existing callers are unaffected.
+//! Lives here rather than in `mmjoin-bench` because the service layer
+//! needs it below the bench crate in the dependency graph.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

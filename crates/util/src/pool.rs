@@ -74,7 +74,7 @@ impl ExecCounters {
 pub struct WorkerPhaseStat {
     /// Worker index in `0..workers()`.
     pub worker: usize,
-    /// Span start, ns since the recording epoch (the join start).
+    /// Span start, ns since the join start.
     pub start_ns: u64,
     /// Span duration in ns (this worker's time to its barrier arrival).
     pub dur_ns: u64,

@@ -34,7 +34,8 @@ fn barrier_publishes_phase_writes() {
 
 /// Pile every morsel onto node 0's queue of a two-node policy: the
 /// workers homed on node 1 find their queue empty and must steal. The
-/// counters have to account for every morsel exactly once.
+/// counters the phase returns have to account for every morsel exactly
+/// once.
 #[test]
 fn steal_counters_under_skewed_queues() {
     let pool = Executor::new(4);
@@ -46,13 +47,17 @@ fn steal_counters_under_skewed_queues() {
     assert_eq!(queues[0].len(), 64);
     assert!(queues[1].is_empty());
 
-    pool.drain_counters();
     let ran: Vec<AtomicU64> = (0..parts).map(|_| AtomicU64::new(0)).collect();
-    pool.run_morsels(&queues, &|_, p| {
-        ran[p].fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(std::time::Duration::from_micros(500));
-    });
-    let c = pool.drain_counters();
+    let c = pool
+        .run_morsels(
+            &queues,
+            &|_, p| {
+                ran[p].fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(std::time::Duration::from_micros(500));
+            },
+            None,
+        )
+        .exec;
     assert_eq!(c.tasks, 64, "every morsel ran exactly once");
     for (p, r) in ran.iter().enumerate().take(64) {
         assert_eq!(r.load(Ordering::Relaxed), 1, "partition {p}");

@@ -8,23 +8,31 @@
 //! * steals never exceed tasks, per span and per phase;
 //! * barrier idle time is bounded by `workers x phase wall`;
 //! * enabling profiling changes no answer (matches, checksum);
-//! * profiling off records no spans at all (the zero-cost path).
+//! * profiling off records no spans at all (the zero-cost path);
+//! * joins running concurrently on one shared pool keep their own
+//!   per-phase accounting (tasks and spans go to the join that ran the
+//!   phase).
 //!
 //! Skew handling stays off here: cooperative co-partition splitting
 //! nests inline broadcasts, which fold nested task counts into the
 //! enclosing worker's span and void the per-phase sum invariant.
 
-use mmjoin::core::{Algorithm, Join, JoinResult, ProfileConfig};
+use mmjoin::core::{materialize, Algorithm, Join, JoinConfig, JoinResult, ProfileConfig};
 use mmjoin::datagen::{gen_build_dense, gen_probe_fk};
-use mmjoin::util::Placement;
-use mmjoin_bench::jsonv;
+use mmjoin::util::jsonv;
+use mmjoin::util::{Placement, Relation};
 
 const THREADS: usize = 3;
 
-fn run(alg: Algorithm, profile: bool) -> JoinResult {
+fn workload() -> (Relation, Relation) {
     let placement = Placement::Chunked { parts: THREADS };
     let r = gen_build_dense(9_000, 0xB0B0, placement);
     let s = gen_probe_fk(36_000, 9_000, 0xB0B1, placement);
+    (r, s)
+}
+
+fn run(alg: Algorithm, profile: bool) -> JoinResult {
+    let (r, s) = workload();
     let mut join = Join::new(alg)
         .with_threads(THREADS)
         .with_simulate(false)
@@ -160,4 +168,62 @@ fn exporters_emit_valid_json() {
         .and_then(|m| m.get("perf_counters"))
         .and_then(jsonv::Value::as_bool)
         .is_some());
+}
+
+/// Four threads run a rotating mix of joins on the same `THREADS` pool
+/// for 20 rounds: NOP, PRO, CPRL, MWAY and SHHJ, two threads profiled
+/// and two not, plus `materialize::join_index`, whose phases are never
+/// recorded at all. Every join's per-phase task counts must equal its
+/// solo run (they are deterministic for fixed data and thread count;
+/// steals are not, so they are not compared), profiled joins' spans
+/// must sum to their own aggregates, and unprofiled joins must carry no
+/// spans.
+#[test]
+fn concurrent_joins_keep_their_own_phase_accounting() {
+    const ALGS: [Algorithm; 5] = [
+        Algorithm::Nop,
+        Algorithm::Pro,
+        Algorithm::Cprl,
+        Algorithm::Mway,
+        Algorithm::Shhj,
+    ];
+    fn tasks(res: &JoinResult) -> Vec<(&'static str, u64)> {
+        res.phases.iter().map(|p| (p.name, p.exec.tasks)).collect()
+    }
+    let solo: Vec<_> = ALGS.iter().map(|&alg| tasks(&run(alg, false))).collect();
+    let (r, s) = workload();
+    let mut cfg = JoinConfig::new(THREADS);
+    cfg.simulate = false;
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (r, s, cfg, solo) = (&r, &s, &cfg, &solo);
+            scope.spawn(move || {
+                let profile = t % 2 == 0;
+                for round in 0..20 {
+                    let job = (t + round) % (ALGS.len() + 1);
+                    let Some(&alg) = ALGS.get(job) else {
+                        let out = materialize::join_index(r, s, cfg).expect("join_index");
+                        assert_eq!(out.len(), s.len());
+                        continue;
+                    };
+                    let res = run(alg, profile);
+                    assert_eq!(
+                        tasks(&res),
+                        solo[job],
+                        "{alg} (profiled: {profile}), round {round}: tasks vs solo run"
+                    );
+                    for p in &res.phases {
+                        if profile {
+                            let span_tasks: u64 = p.workers.iter().map(|w| w.tasks).sum();
+                            let span_steals: u64 = p.workers.iter().map(|w| w.steals).sum();
+                            assert_eq!(span_tasks, p.exec.tasks, "{alg}/{}", p.name);
+                            assert_eq!(span_steals, p.exec.steals, "{alg}/{}", p.name);
+                        } else {
+                            assert!(p.workers.is_empty(), "{alg}/{}: stray spans", p.name);
+                        }
+                    }
+                }
+            });
+        }
+    });
 }

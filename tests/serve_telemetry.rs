@@ -168,6 +168,76 @@ fn trace_op_drains_chrome_trace_events() {
     server.shutdown();
 }
 
+/// Concurrent `cache:false` joins of one pair run the classic driver on
+/// the runners' shared executor pool. Each query's flight record must
+/// still carry only its own work: every record of one (algorithm, cache
+/// state) has the same per-phase task counts, and no phase reports zero
+/// tasks.
+#[test]
+fn trace_rollups_attribute_phase_work_per_query_under_load() {
+    const CLIENTS: usize = 4;
+    const JOINS_PER_CLIENT: usize = 6;
+    let server = Server::spawn(ServeConfig::default().with_runners(CLIENTS)).unwrap();
+    let mut c = client(&server);
+    load_pair(&mut c, 20_000, 80_000);
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(|| {
+                let mut c = client(&server);
+                for _ in 0..JOINS_PER_CLIENT {
+                    let v = c
+                        .request(
+                            r#"{"op":"join","tenant":"attr","algo":"PRO","build":"r","probe":"s","cache":false}"#,
+                        )
+                        .unwrap();
+                    assert!(ok(&v), "join failed: {v:?}");
+                }
+            });
+        }
+    });
+
+    let v = c.request(r#"{"op":"trace","max":1000}"#).unwrap();
+    assert!(ok(&v), "trace failed: {v:?}");
+    assert_eq!(num(&v, "count"), (CLIENTS * JOINS_PER_CLIENT) as f64);
+    let events = v.get("events").and_then(|e| e.as_arr()).unwrap();
+    // (algorithm, cached) -> each record's per-phase (name, tasks).
+    type PhaseTasks = Vec<(String, f64)>;
+    let mut by_run: std::collections::HashMap<(String, bool), Vec<PhaseTasks>> =
+        std::collections::HashMap::new();
+    for e in events {
+        if e.get("cat").and_then(|c| c.as_str()) != Some("join") {
+            continue;
+        }
+        let algo = e.get("name").and_then(|n| n.as_str()).unwrap().to_string();
+        let args = e.get("args").expect("join event args");
+        let cached = args.get("cached").and_then(|c| c.as_bool()).unwrap();
+        let phases: Vec<(String, f64)> = args
+            .get("phases")
+            .and_then(|p| p.as_arr())
+            .unwrap()
+            .iter()
+            .map(|p| {
+                let name = p.get("name").and_then(|n| n.as_str()).unwrap().to_string();
+                (name, num(p, "tasks"))
+            })
+            .collect();
+        by_run.entry((algo, cached)).or_default().push(phases);
+    }
+    let records: usize = by_run.values().map(Vec::len).sum();
+    assert_eq!(records, CLIENTS * JOINS_PER_CLIENT);
+    for ((algo, cached), runs) in &by_run {
+        assert!(!runs[0].is_empty(), "{algo} (cached {cached}): no phases");
+        for phases in runs {
+            assert_eq!(phases, &runs[0], "{algo} (cached {cached}): tasks differ");
+            for (name, tasks) in phases {
+                assert!(*tasks > 0.0, "{algo}/{name} (cached {cached}): tasks 0");
+            }
+        }
+    }
+
+    server.shutdown();
+}
+
 /// Loose Prometheus text-format check: every line is a comment or
 /// `name{labels} value` with a float value.
 fn assert_prometheus_parses(text: &str) {
